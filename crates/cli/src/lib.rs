@@ -214,8 +214,9 @@ probation earns them back. Step lines gain per-vehicle violation and
 quarantine columns, and a per-vehicle trust summary follows the run.
 `profile` runs a fleet (default 4 vehicles, 2 steps) with the tracing
 profiler on: it prints a ranked self-time table over the SPOD sub-phases
-(preprocess, voxelize, vfe, conv1, conv2, bev, rpn, nms) and the
-coverage of pipeline.perceive they explain, and with --trace-out PATH
+(preprocess, voxelize, vfe, conv1, conv2, bev, rpn, nms) and the fusion
+stages (fuse, fuse_features, payload_decode) and the coverage of
+pipeline.perceive they explain, and with --trace-out PATH
 writes a Chrome trace-event JSON (open in chrome://tracing or Perfetto;
 one lane per worker thread) of every span and per-transfer trace mark.
 `--scene` is accepted as an alias of --scenario.
@@ -327,7 +328,7 @@ pub struct ProfileReport {
     /// Simulation steps profiled.
     pub steps: usize,
     /// Percentage of summed `pipeline.perceive` span time attributed to
-    /// the named SPOD sub-phases' self time.
+    /// the self time of the named SPOD and fusion sub-phases.
     pub coverage_pct: f64,
     /// Ranked self-time table (stage, count, self_ms, total_ms, share).
     pub table: String,
@@ -340,8 +341,8 @@ pub struct ProfileReport {
 
 /// Runs the perceive-phase profiler: a fleet simulation over `scene_name`
 /// with telemetry and tracing enabled, returning the ranked self-time
-/// table, the SPOD sub-phase coverage of `pipeline.perceive`, and the
-/// Chrome trace.
+/// table, the SPOD and fusion sub-phase coverage of `pipeline.perceive`,
+/// and the Chrome trace.
 ///
 /// Owns the global telemetry registry for the duration of the call
 /// (resets it before and after), so callers must not run it concurrently
@@ -406,10 +407,14 @@ pub fn run_profile(
     cooper_telemetry::disable();
     cooper_telemetry::reset();
 
+    let names = [
+        cooper_telemetry::names::SPOD_SUBPHASES,
+        cooper_telemetry::names::FUSION_SUBPHASES,
+    ];
     let subphase_self: u64 = snapshot
         .self_times_by_name()
         .iter()
-        .filter(|e| cooper_telemetry::names::SPOD_SUBPHASES.contains(&e.name.as_str()))
+        .filter(|e| names.iter().any(|set| set.contains(&e.name.as_str())))
         .map(|e| e.self_us)
         .sum();
     // Perceive-phase CPU total: every entry into the pipeline during
@@ -992,7 +997,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             );
             print!("{}", report.table);
             println!(
-                "perceive coverage: {:.1}% of pipeline.perceive time in named SPOD sub-phases",
+                "perceive coverage: {:.1}% of pipeline.perceive time in named SPOD and fusion sub-phases",
                 report.coverage_pct
             );
             if let Some(path) = parsed.options.get("--trace-out") {

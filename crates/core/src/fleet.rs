@@ -607,7 +607,7 @@ enum PerceiveTask {
 enum PerceiveTaskOutput {
     Single(usize),
     Cooperative {
-        report: VehicleStepReport,
+        report: Box<VehicleStepReport>,
         /// The cooperative detections themselves — the serial merge
         /// loop feeds them to the vehicle's tracker (when the pipeline
         /// has one) in fleet order, keeping track state deterministic.
@@ -1389,7 +1389,7 @@ impl FleetSimulation {
                             quarantined_peers: 0,
                         };
                         PerceiveTaskOutput::Cooperative {
-                            report,
+                            report: Box::new(report),
                             detections: outcome.detections,
                             align_drops,
                             align_stats,
@@ -1471,7 +1471,7 @@ impl FleetSimulation {
                 }
                 transport_drops.extend(align_drops);
                 transport_drops.extend(consistency_drops);
-                per_vehicle.push(report);
+                per_vehicle.push(*report);
             }
             // End-of-step trust update (trust layer on): charge this
             // step's violations to their senders, advance every pair's
@@ -1625,7 +1625,7 @@ impl FleetSimulation {
                 let trace = TraceId::new(step, ctx.from, ctx.to);
                 match channel.deliver_verdict(&ctx) {
                     Delivery::Delivered => {
-                        if trust_ledger.is_some() && !matches!(packet.verify_integrity(), Ok(_)) {
+                        if trust_ledger.is_some() && packet.verify_integrity().is_err() {
                             // The frame arrived whole but its CRC-32
                             // trailer does not match — at-source
                             // corruption the link layer cannot see.
@@ -2060,7 +2060,7 @@ impl FleetSimulation {
                 );
                 match channel.deliver_verdict(&ctx) {
                     Delivery::Delivered => {
-                        if trust_ledger.is_some() && !matches!(packet.verify_integrity(), Ok(_)) {
+                        if trust_ledger.is_some() && packet.verify_integrity().is_err() {
                             if cooper_telemetry::is_enabled() {
                                 cooper_telemetry::counter_add(
                                     telemetry_names::V2X_INTEGRITY_CRC_FAIL,

@@ -66,6 +66,9 @@ pub const SPOD_INCREMENTAL_HITS: &str = "spod.incremental.hits";
 pub const SPOD_INCREMENTAL_CHUNKS_REUSED: &str = "spod.incremental.chunks_reused";
 /// Cached VFE rows copied instead of re-encoded.
 pub const SPOD_INCREMENTAL_VOXELS_REUSED: &str = "spod.incremental.voxels_reused";
+/// Polygon BEV IoUs evaluated by non-maximum suppression: a
+/// deterministic work count, added once per NMS call.
+pub const SPOD_NMS_IOU_EVALS: &str = "spod.nms.iou_evals";
 /// Detections fed into per-vehicle trackers.
 pub const TRACK_DETECTIONS_IN: &str = "track.detections_in";
 /// New tentative tracks spawned.
@@ -218,6 +221,7 @@ pub const ALL_METRICS: &[&str] = &[
     SPOD_INCREMENTAL_HITS,
     SPOD_INCREMENTAL_CHUNKS_REUSED,
     SPOD_INCREMENTAL_VOXELS_REUSED,
+    SPOD_NMS_IOU_EVALS,
     TRACK_DETECTIONS_IN,
     TRACK_SPAWNED,
     TRACK_PROMOTED,
@@ -276,6 +280,16 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_SPOD_NMS,
     SPAN_V2X_TRY_SEND,
     SPAN_V2X_SIMULATE,
+];
+
+/// The fusion stages of a cooperative perceive: decoding remote
+/// payloads and merging them (as points or BEV features) into the
+/// receiver's frame. The profiler counts them toward its perceive
+/// coverage next to [`SPOD_SUBPHASES`].
+pub const FUSION_SUBPHASES: &[&str] = &[
+    SPAN_PIPELINE_FUSE,
+    SPAN_PIPELINE_FUSE_FEATURES,
+    SPAN_PACKET_PAYLOAD_DECODE,
 ];
 
 /// The SPOD sub-phase spans the profiler decomposes `perceive_us` into.
