@@ -399,8 +399,7 @@ pub fn run_profile(
     cooper_telemetry::reset();
     cooper_telemetry::enable();
     cooper_telemetry::set_tracing(true);
-    let mut channel = PerfectChannel;
-    let (_reports, _stats) = sim.run_with_channel(&pipeline, steps, &mut channel);
+    let (_reports, _stats) = sim.run(&pipeline, steps);
     let snapshot = cooper_telemetry::snapshot();
     let trace = cooper_telemetry::take_trace();
     cooper_telemetry::set_tracing(false);

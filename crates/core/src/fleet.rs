@@ -30,6 +30,7 @@
 //! per-(vehicle, step) derived RNG streams rather than one sequential
 //! generator, so no vehicle's draw depends on who computed before it.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use cooper_exec::Executor;
@@ -228,6 +229,25 @@ fn finalize_tx_packet(
         ))
     } else {
         Ok(packet)
+    }
+}
+
+/// Records a sender whose outgoing frame failed to encode: bumps the
+/// per-error-kind encode-drop counter and returns the report entry.
+fn encode_drop(vehicle_id: u32, error: &CooperError) -> EncodeDrop {
+    if cooper_telemetry::is_enabled() {
+        cooper_telemetry::counter_add(
+            &format!(
+                "{}{}",
+                telemetry_names::FLEET_ENCODE_DROP_PREFIX,
+                error.kind()
+            ),
+            1,
+        );
+    }
+    EncodeDrop {
+        vehicle_id,
+        kind: error.kind().to_string(),
     }
 }
 
@@ -638,9 +658,6 @@ struct GovernedLoop<'a> {
     config: GovernorConfig,
     /// Indexed like `vehicles`.
     tx_states: Vec<TxCodecState>,
-    /// Per receiver index, one stateful wire-format decoder per sender
-    /// id — reconstructs delta streams back into full clouds.
-    rx_decoders: Vec<BTreeMap<u32, DeltaDecoder>>,
 }
 
 /// One sender's prepared content for a governed step: the candidate
@@ -657,10 +674,10 @@ struct SenderFrame {
     /// ROI-filtered content per `[roi_index][kind_index]`.
     clouds: [[Option<PointCloud>; 2]; 3],
     /// Packets built on first use per `[roi_index][kind_index]`.
-    packets: [[Option<ExchangePacket>; 2]; 3],
+    packets: [[OnceCell<ExchangePacket>; 2]; 3],
     /// Feature-tier (v3) packets built on first use per `[roi_index]`;
     /// their content lives in [`Broadcast::feature_frames`].
-    feature_packets: [Option<ExchangePacket>; 3],
+    feature_packets: [OnceCell<ExchangePacket>; 3],
     candidates: Vec<TransferCandidate>,
 }
 
@@ -682,9 +699,12 @@ fn kind_index(kind: FrameKind) -> usize {
     }
 }
 
-/// The mutable per-step outputs phase 2 writes, bundled so the governed
-/// and ungoverned exchange paths share one signature.
+/// The mutable state phase 2 writes: the receivers' decoder state,
+/// persistent across steps, and the step's exchange outputs.
 struct ExchangeOutputs<'a> {
+    /// Per receiver index, one stateful wire-format decoder per sender
+    /// id — reconstructs delta streams back into full clouds.
+    rx_decoders: &'a mut [BTreeMap<u32, DeltaDecoder>],
     encode_drops: &'a mut Vec<EncodeDrop>,
     inboxes: &'a mut [Vec<ExchangePacket>],
     /// Parallel to `inboxes`: `true` when the entry was reconstructed
@@ -809,7 +829,6 @@ impl FleetSimulation {
                     enc: DeltaEncoder::new(governor.grid, governor.keyframe_every),
                 })
                 .collect(),
-            rx_decoders: self.vehicles.iter().map(|_| BTreeMap::new()).collect(),
         };
         self.run_loop(pipeline, steps, channel, Some(governed))
     }
@@ -855,6 +874,11 @@ impl FleetSimulation {
         let mut histories: BTreeMap<(u32, u32), SenderHistory> = BTreeMap::new();
         let mut replay_cache: Vec<Option<(usize, PointCloud, PoseEstimate, u32)>> =
             self.vehicles.iter().map(|_| None).collect();
+        // Receive-side wire-format decoder state, one map per receiver:
+        // phase 2 reconstructs delta streams through it (v1 frames pass
+        // through untouched).
+        let mut rx_decoders: Vec<BTreeMap<u32, DeltaDecoder>> =
+            self.vehicles.iter().map(|_| BTreeMap::new()).collect();
         // Per-vehicle temporal state, persistent across steps: a
         // tracker when the pipeline enables track-level fusion, and a
         // perception cache when it enables incremental perception. Both
@@ -944,7 +968,9 @@ impl FleetSimulation {
                         }
                     }
                     let tx_corrupt_rate = scan_faults.corrupt_rate;
-                    if let Some(gcfg) = &governed_cfg {
+                    let (packet, encode_drop, blind, feature_frames) = if let Some(gcfg) =
+                        &governed_cfg
+                    {
                         // Governed mode: packets are built per transfer
                         // in phase 2; phase 1 computes this vehicle's
                         // receive-side demand instead — plus, with the
@@ -979,84 +1005,47 @@ impl FleetSimulation {
                         } else {
                             Default::default()
                         };
-                        return (
-                            Broadcast {
-                                scan,
-                                pose,
-                                estimate,
-                                stamp,
-                                packet: None,
-                                blind,
-                                feature_frames,
-                                tx_scan,
-                                tx_estimate,
-                                tx_stamp,
-                                tx_corrupt_rate,
-                            },
-                            None,
-                        );
-                    }
-                    let roi_scan = extract_roi(tx_scan.as_ref().unwrap_or(&scan), self.config.roi);
-                    let built = ExchangePacket::build(v.id, tx_stamp, &roi_scan, tx_estimate)
-                        .and_then(|packet| {
-                            finalize_tx_packet(
-                                packet,
-                                trust_guard.is_some(),
-                                tx_corrupt_rate,
-                                self.config.seed,
-                                v.id,
-                                step,
-                            )
-                        });
-                    match built {
-                        Ok(packet) => (
-                            Broadcast {
-                                scan,
-                                pose,
-                                estimate,
-                                stamp,
-                                packet: Some(packet),
-                                blind: Vec::new(),
-                                feature_frames: Default::default(),
-                                tx_scan,
-                                tx_estimate,
-                                tx_stamp,
-                                tx_corrupt_rate,
-                            },
-                            None,
-                        ),
-                        Err(error) => {
-                            if cooper_telemetry::is_enabled() {
-                                cooper_telemetry::counter_add(
-                                    &format!(
-                                        "{}{}",
-                                        telemetry_names::FLEET_ENCODE_DROP_PREFIX,
-                                        error.kind()
-                                    ),
-                                    1,
-                                );
-                            }
-                            (
-                                Broadcast {
-                                    scan,
-                                    pose,
-                                    estimate,
-                                    stamp,
-                                    packet: None,
-                                    blind: Vec::new(),
-                                    feature_frames: Default::default(),
-                                    tx_scan,
-                                    tx_estimate,
-                                    tx_stamp,
+                        (None, None, blind, feature_frames)
+                    } else {
+                        let roi_scan =
+                            extract_roi(tx_scan.as_ref().unwrap_or(&scan), self.config.roi);
+                        let built = ExchangePacket::build(v.id, tx_stamp, &roi_scan, tx_estimate)
+                            .and_then(|packet| {
+                                finalize_tx_packet(
+                                    packet,
+                                    trust_guard.is_some(),
                                     tx_corrupt_rate,
-                                },
-                                Some(EncodeDrop {
-                                    vehicle_id: v.id,
-                                    kind: error.kind().to_string(),
-                                }),
-                            )
+                                    self.config.seed,
+                                    v.id,
+                                    step,
+                                )
+                            });
+                        match built {
+                            Ok(packet) => (Some(packet), None, Vec::new(), Default::default()),
+                            Err(error) => (
+                                None,
+                                Some(encode_drop(v.id, &error)),
+                                Vec::new(),
+                                Default::default(),
+                            ),
                         }
-                    }
+                    };
+                    (
+                        Broadcast {
+                            scan,
+                            pose,
+                            estimate,
+                            stamp,
+                            packet,
+                            blind,
+                            feature_frames,
+                            tx_scan,
+                            tx_estimate,
+                            tx_stamp,
+                            tx_corrupt_rate,
+                        },
+                        encode_drop,
+                    )
                 })
             };
             let mut broadcasts = Vec::with_capacity(phase1.len());
@@ -1109,41 +1098,23 @@ impl FleetSimulation {
                         }
                     }
                 }
-                let ledger = trust_guard.is_some().then_some(&trust_ledger);
-                if let Some(g) = governed.as_mut() {
-                    self.exchange_governed(
-                        step,
-                        channel,
-                        ledger,
-                        g,
-                        &broadcasts,
-                        ExchangeOutputs {
-                            encode_drops: &mut encode_drops,
-                            inboxes: &mut inboxes,
-                            composite: &mut inbox_composite,
-                            bytes_received: &mut bytes_received,
-                            partial_counts: &mut partial_counts,
-                            transport_drops: &mut transport_drops,
-                            stats: &mut stats,
-                        },
-                    );
-                } else {
-                    self.exchange_ungoverned(
-                        step,
-                        channel,
-                        ledger,
-                        &broadcasts,
-                        ExchangeOutputs {
-                            encode_drops: &mut encode_drops,
-                            inboxes: &mut inboxes,
-                            composite: &mut inbox_composite,
-                            bytes_received: &mut bytes_received,
-                            partial_counts: &mut partial_counts,
-                            transport_drops: &mut transport_drops,
-                            stats: &mut stats,
-                        },
-                    );
-                }
+                self.exchange(
+                    step,
+                    channel,
+                    trust_guard.is_some().then_some(&trust_ledger),
+                    governed.as_mut(),
+                    &broadcasts,
+                    ExchangeOutputs {
+                        rx_decoders: &mut rx_decoders,
+                        encode_drops: &mut encode_drops,
+                        inboxes: &mut inboxes,
+                        composite: &mut inbox_composite,
+                        bytes_received: &mut bytes_received,
+                        partial_counts: &mut partial_counts,
+                        transport_drops: &mut transport_drops,
+                        stats: &mut stats,
+                    },
+                );
             }
             timings.exchange_us = exchange_start.elapsed().as_micros() as u64;
 
@@ -1587,27 +1558,46 @@ impl FleetSimulation {
         (reports, stats)
     }
 
-    /// Ungoverned phase-2 delivery: every in-range sender's pre-built
-    /// broadcast packet is offered to every receiver, in delivery order.
-    fn exchange_ungoverned(
+    /// Phase-2 delivery, in (receiver, sender) order. The exchange modes
+    /// differ in one step only: which packet a directed transfer
+    /// carries. A raw broadcast run sends the v1 ROI packet the sender
+    /// built in phase 1; a governed run asks the [`GovernorPolicy`] to
+    /// pick from the sender's candidate menu
+    /// ([`FleetSimulation::govern`]). Everything after that choice is
+    /// [`FleetSimulation::deliver`], shared by both.
+    fn exchange(
         &self,
         step: usize,
         channel: &mut dyn ChannelModel,
         trust_ledger: Option<&TrustLedger>,
+        governed: Option<&mut GovernedLoop<'_>>,
         broadcasts: &[Broadcast],
-        out: ExchangeOutputs<'_>,
+        mut out: ExchangeOutputs<'_>,
     ) {
-        for (i, me) in broadcasts.iter().enumerate() {
-            for (j, other) in broadcasts.iter().enumerate() {
-                if i == j || me.pose.delta_d(&other.pose) > self.config.comms_range_m {
+        let n = self.vehicles.len();
+        let trust_on = trust_ledger.is_some();
+        let mut governed = governed.map(|g| {
+            let frames =
+                self.prepare_frames(step, &*channel, trust_on, g, broadcasts, out.encode_drops);
+            (g, frames)
+        });
+        for i in 0..n {
+            for j in 0..n {
+                let sender_ready = match &governed {
+                    Some((_, frames)) => frames[j].ok,
+                    None => broadcasts[j].packet.is_some(),
+                };
+                if i == j
+                    || broadcasts[i].pose.delta_d(&broadcasts[j].pose) > self.config.comms_range_m
+                    || !sender_ready
+                {
                     continue;
                 }
-                let Some(packet) = &other.packet else {
-                    continue;
-                };
                 let from = self.vehicles[j].id;
                 let to = self.vehicles[i].id;
                 if trust_ledger.is_some_and(|ledger| ledger.blocks(to, from)) {
+                    // Quarantined senders are skipped before anything is
+                    // priced: the governor never sees the offer.
                     Self::record_quarantine_skip(step, from, to, &mut *out.stats);
                     out.transport_drops.push(TransportDrop {
                         from,
@@ -1616,169 +1606,65 @@ impl FleetSimulation {
                     });
                     continue;
                 }
+                let packet = match &mut governed {
+                    Some((g, frames)) => {
+                        let offer = TransferOffer {
+                            step,
+                            from,
+                            to,
+                            keyframe_due: frames[j].keyframe_due,
+                            receiver_blind_sectors: &broadcasts[i].blind,
+                            candidates: &frames[j].candidates,
+                            headroom_s: channel.airtime_headroom_s(),
+                        };
+                        match self.govern(
+                            &mut *g.policy,
+                            &offer,
+                            &frames[j],
+                            &broadcasts[j],
+                            trust_on,
+                            &mut out,
+                        ) {
+                            Some(packet) => packet,
+                            None => continue,
+                        }
+                    }
+                    None => broadcasts[j]
+                        .packet
+                        .as_ref()
+                        .expect("a ready sender built its broadcast packet"),
+                };
                 let ctx = TransferCtx {
                     step,
                     from,
                     to,
                     wire_bytes: packet.wire_size(),
                 };
-                let trace = TraceId::new(step, ctx.from, ctx.to);
-                match channel.deliver_verdict(&ctx) {
-                    Delivery::Delivered => {
-                        if trust_ledger.is_some() && packet.verify_integrity().is_err() {
-                            // The frame arrived whole but its CRC-32
-                            // trailer does not match — at-source
-                            // corruption the link layer cannot see.
-                            // Bytes were still burned on the air.
-                            if cooper_telemetry::is_enabled() {
-                                cooper_telemetry::counter_add(
-                                    telemetry_names::V2X_INTEGRITY_CRC_FAIL,
-                                    1,
-                                );
-                            }
-                            cooper_telemetry::trace_mark(
-                                trace,
-                                trace_stage::INTEGRITY_FAILED,
-                                true,
-                            );
-                            out.bytes_received[i] += packet.wire_size();
-                            out.transport_drops.push(TransportDrop {
-                                from,
-                                to,
-                                reason: TransportDropReason::IntegrityFailed,
-                            });
-                            continue;
-                        }
-                        cooper_telemetry::trace_mark_with(
-                            trace,
-                            trace_stage::DELIVERED,
-                            false,
-                            ctx.wire_bytes as u64,
-                        );
-                        out.bytes_received[i] += packet.wire_size();
-                        out.inboxes[i].push(packet.clone());
-                        out.composite[i].push(false);
-                    }
-                    Delivery::Dropped => {
-                        cooper_telemetry::trace_mark(trace, trace_stage::CHANNEL_DROPPED, true);
-                    }
-                    Delivery::Corrupted => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(
-                                telemetry_names::V2X_INTEGRITY_CORRUPTED_FRAMES,
-                                1,
-                            );
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::V2X_CORRUPTED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::Corrupted,
-                        });
-                    }
-                    Delivery::DeadlineExceeded => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(telemetry_names::FLEET_DEADLINE_MISS, 1);
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::DEADLINE_EXCEEDED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from: ctx.from,
-                            to: ctx.to,
-                            reason: TransportDropReason::DeadlineExceeded,
-                        });
-                    }
-                    Delivery::Partial {
-                        delivered_bytes,
-                        total_bytes,
-                    } => {
-                        // Salvage: decode whatever whole points the
-                        // delivered prefix contains and fuse those; the
-                        // receiver degrades instead of losing the
-                        // sender's scan entirely.
-                        cooper_telemetry::trace_mark_with(
-                            trace,
-                            trace_stage::PARTIAL,
-                            false,
-                            delivered_bytes as u64,
-                        );
-                        let wire = packet.to_bytes();
-                        let cut = delivered_bytes.min(wire.len());
-                        match ExchangePacket::from_partial_bytes(&wire[..cut]) {
-                            Ok((salvaged, _fraction)) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_PARTIAL_SALVAGED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(trace, trace_stage::SALVAGED, false);
-                                out.bytes_received[i] += delivered_bytes;
-                                out.partial_counts[i] += 1;
-                                out.inboxes[i].push(salvaged);
-                                out.composite[i].push(false);
-                                out.transport_drops.push(TransportDrop {
-                                    from: ctx.from,
-                                    to: ctx.to,
-                                    reason: TransportDropReason::PartialDelivery {
-                                        delivered_bytes,
-                                        total_bytes,
-                                    },
-                                });
-                            }
-                            Err(error) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_SALVAGE_FAILED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(
-                                    trace,
-                                    trace_stage::SALVAGE_FAILED,
-                                    true,
-                                );
-                                out.transport_drops.push(TransportDrop {
-                                    from: ctx.from,
-                                    to: ctx.to,
-                                    reason: TransportDropReason::SalvageFailed {
-                                        kind: error.kind().to_string(),
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
+                Self::deliver(channel, &ctx, packet, trust_on, i, &mut out);
             }
             out.stats.total_bytes += out.bytes_received[i] as u64;
         }
     }
 
-    /// Governed phase-2 delivery: per-sender codec state advances once
-    /// per step (static-map observation, keyframe/delta cadence), every
-    /// directed transfer consults the [`GovernorPolicy`], and received
-    /// v2 streams are reconstructed through per-sender decoder state
-    /// before fusion. All serial, in delivery order.
-    fn exchange_governed(
+    /// Governed per-sender content preparation, once per step in fleet
+    /// order: codec state advances (static-map observation,
+    /// keyframe/delta cadence), a probe build checks the sender can
+    /// encode at all, and the candidate menu is priced. All content
+    /// flows from the *transmitted* scan — an adversarial sender's codec
+    /// state tracks what it puts on the air, not what it saw.
+    fn prepare_frames(
         &self,
         step: usize,
-        channel: &mut dyn ChannelModel,
-        trust_ledger: Option<&TrustLedger>,
+        channel: &dyn ChannelModel,
+        trust_on: bool,
         g: &mut GovernedLoop<'_>,
         broadcasts: &[Broadcast],
-        out: ExchangeOutputs<'_>,
-    ) {
-        let n = self.vehicles.len();
+        encode_drops: &mut Vec<EncodeDrop>,
+    ) -> Vec<SenderFrame> {
         // With the trust layer on, every candidate carries a CRC-32
-        // trailer; price it so the wire-size assertion below holds.
-        let crc_bytes = if trust_ledger.is_some() {
-            CRC_TRAILER_BYTES
-        } else {
-            0
-        };
-        // Per-sender content preparation, in fleet order. All content
-        // flows from the *transmitted* scan — an adversarial sender's
-        // codec state tracks what it puts on the air, not what it saw.
-        let mut frames: Vec<SenderFrame> = Vec::with_capacity(n);
+        // trailer; price it so the wire-size assertion in `govern` holds.
+        let crc_bytes = if trust_on { CRC_TRAILER_BYTES } else { 0 };
+        let mut frames: Vec<SenderFrame> = Vec::with_capacity(broadcasts.len());
         for (j, b) in broadcasts.iter().enumerate() {
             let id = self.vehicles[j].id;
             let tx_scan = b.tx_scan();
@@ -1824,7 +1710,7 @@ impl FleetSimulation {
             .and_then(|probe| {
                 finalize_tx_packet(
                     probe,
-                    trust_ledger.is_some(),
+                    trust_on,
                     b.tx_corrupt_rate,
                     self.config.seed,
                     id,
@@ -1868,7 +1754,7 @@ impl FleetSimulation {
                         }
                     }
                     if kinds.contains(&FrameKind::Keyframe) {
-                        frame.packets[0][0] = Some(probe);
+                        frame.packets[0][0] = OnceCell::from(probe);
                     }
                     // Feature-tier candidates ride at the end of the
                     // menu, so the ungoverned [`SendFirstPolicy`] (and
@@ -1895,326 +1781,262 @@ impl FleetSimulation {
                     }
                 }
                 Err(error) => {
-                    if cooper_telemetry::is_enabled() {
-                        cooper_telemetry::counter_add(
-                            &format!(
-                                "{}{}",
-                                telemetry_names::FLEET_ENCODE_DROP_PREFIX,
-                                error.kind()
-                            ),
-                            1,
-                        );
-                    }
                     frame.ok = false;
-                    out.encode_drops.push(EncodeDrop {
-                        vehicle_id: id,
-                        kind: error.kind().to_string(),
-                    });
+                    encode_drops.push(encode_drop(id, &error));
                 }
             }
             frames.push(frame);
         }
+        frames
+    }
 
-        // Delivery, in (receiver, sender) order.
-        for i in 0..n {
-            for j in 0..n {
-                if i == j
-                    || broadcasts[i].pose.delta_d(&broadcasts[j].pose) > self.config.comms_range_m
-                    || !frames[j].ok
-                {
-                    continue;
+    /// The governed packet choice for one directed transfer: the policy
+    /// decides on `offer`, and the chosen packet is built on first use
+    /// and shared by every receiver that picks the same candidate. The
+    /// governor-only bookkeeping happens here: `bytes_saved`, the codec
+    /// ratio counters and the `GOVERN_SEND` / `GOVERN_SKIP` trace marks.
+    /// A skip is recorded as a [`TransportDropReason::BudgetExceeded`]
+    /// drop and yields `None`.
+    fn govern<'f>(
+        &self,
+        policy: &mut dyn GovernorPolicy,
+        offer: &TransferOffer<'_>,
+        frame: &'f SenderFrame,
+        sender: &Broadcast,
+        trust_on: bool,
+        out: &mut ExchangeOutputs<'_>,
+    ) -> Option<&'f ExchangePacket> {
+        let (step, from, to) = (offer.step, offer.from, offer.to);
+        let chosen = match policy.decide(offer) {
+            GovernorVerdict::Send(candidate) => candidate,
+            GovernorVerdict::Skip => {
+                *out.stats.bytes_saved.entry(from).or_insert(0) += frame.baseline_bytes as u64;
+                if cooper_telemetry::is_enabled() {
+                    cooper_telemetry::counter_add(telemetry_names::FLEET_BUDGET_SKIP, 1);
                 }
-                let from = self.vehicles[j].id;
-                let to = self.vehicles[i].id;
-                if trust_ledger.is_some_and(|ledger| ledger.blocks(to, from)) {
-                    // Quarantined senders are skipped before anything is
-                    // priced: the governor never sees the offer.
-                    Self::record_quarantine_skip(step, from, to, &mut *out.stats);
+                cooper_telemetry::trace_mark(
+                    TraceId::new(step, from, to),
+                    trace_stage::GOVERN_SKIP,
+                    true,
+                );
+                out.transport_drops.push(TransportDrop {
+                    from,
+                    to,
+                    reason: TransportDropReason::BudgetExceeded,
+                });
+                return None;
+            }
+        };
+        let finalize = |packet| {
+            finalize_tx_packet(
+                packet,
+                trust_on,
+                sender.tx_corrupt_rate,
+                self.config.seed,
+                from,
+                step,
+            )
+        };
+        let ri = roi_index(chosen.roi);
+        let packet = if chosen.kind == FrameKind::Features {
+            frame.feature_packets[ri].get_or_init(|| {
+                let ff = sender.feature_frames[ri]
+                    .as_ref()
+                    .expect("feature candidate was offered, so its frame is prepared");
+                ExchangePacket::build_features(from, sender.tx_stamp, ff, sender.tx_estimate)
+                    .and_then(finalize)
+                    .expect("a probed sender's feature frame must encode")
+            })
+        } else {
+            let ki = kind_index(chosen.kind);
+            frame.packets[ri][ki].get_or_init(|| {
+                let cloud = frame.clouds[ri][ki]
+                    .as_ref()
+                    .expect("chosen candidate was offered, so its cloud is prepared");
+                ExchangePacket::build_v2(
+                    from,
+                    sender.tx_stamp,
+                    cloud,
+                    sender.tx_estimate,
+                    chosen.kind,
+                    frame.background_subtracted,
+                )
+                .and_then(finalize)
+                .expect("an ROI subset of a probed frame must encode")
+            })
+        };
+        debug_assert_eq!(packet.wire_size(), chosen.wire_bytes);
+        *out.stats.bytes_saved.entry(from).or_insert(0) +=
+            frame.baseline_bytes.saturating_sub(chosen.wire_bytes) as u64;
+        if cooper_telemetry::is_enabled() {
+            let per_mille = (chosen.wire_bytes as u64).saturating_mul(1000)
+                / (frame.baseline_bytes.max(1) as u64);
+            if chosen.kind == FrameKind::Features {
+                cooper_telemetry::counter_add(telemetry_names::FLEET_FEATURE_SENDS, 1);
+                cooper_telemetry::record_value(telemetry_names::CODEC_V3_BYTES_RATIO, per_mille);
+            } else {
+                cooper_telemetry::record_value(telemetry_names::CODEC_V2_BYTES_RATIO, per_mille);
+            }
+        }
+        cooper_telemetry::trace_mark_with(
+            TraceId::new(step, from, to),
+            trace_stage::GOVERN_SEND,
+            false,
+            chosen.wire_bytes as u64,
+        );
+        Some(packet)
+    }
+
+    /// Delivers one directed transfer's chosen packet to receiver index
+    /// `i` — the phase-2 step every exchange mode shares: the channel's
+    /// verdict, the CRC check (trust layer on), reconstruction through
+    /// the receiver's per-sender [`DeltaDecoder`], prefix salvage of a
+    /// partial delivery, byte accounting, the drop record and the
+    /// terminal trace mark.
+    fn deliver(
+        channel: &mut dyn ChannelModel,
+        ctx: &TransferCtx,
+        packet: &ExchangePacket,
+        trust_on: bool,
+        i: usize,
+        out: &mut ExchangeOutputs<'_>,
+    ) {
+        let (from, to) = (ctx.from, ctx.to);
+        let trace = TraceId::new(ctx.step, from, to);
+        match channel.deliver_verdict(ctx) {
+            Delivery::Delivered => {
+                if trust_on && packet.verify_integrity().is_err() {
+                    // The frame arrived whole but its CRC-32 trailer
+                    // does not match — at-source corruption the link
+                    // layer cannot see. Bytes were still burned on the
+                    // air.
+                    if cooper_telemetry::is_enabled() {
+                        cooper_telemetry::counter_add(telemetry_names::V2X_INTEGRITY_CRC_FAIL, 1);
+                    }
+                    cooper_telemetry::trace_mark(trace, trace_stage::INTEGRITY_FAILED, true);
+                    out.bytes_received[i] += ctx.wire_bytes;
                     out.transport_drops.push(TransportDrop {
                         from,
                         to,
-                        reason: TransportDropReason::Quarantined,
+                        reason: TransportDropReason::IntegrityFailed,
                     });
-                    continue;
+                    return;
                 }
-                let offer = TransferOffer {
-                    step,
-                    from,
-                    to,
-                    keyframe_due: frames[j].keyframe_due,
-                    receiver_blind_sectors: &broadcasts[i].blind,
-                    candidates: &frames[j].candidates,
-                    headroom_s: channel.airtime_headroom_s(),
-                };
-                let chosen = match g.policy.decide(&offer) {
-                    GovernorVerdict::Send(candidate) => candidate,
-                    GovernorVerdict::Skip => {
-                        *out.stats.bytes_saved.entry(from).or_insert(0) +=
-                            frames[j].baseline_bytes as u64;
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(telemetry_names::FLEET_BUDGET_SKIP, 1);
-                        }
-                        cooper_telemetry::trace_mark(
-                            TraceId::new(step, from, to),
-                            trace_stage::GOVERN_SKIP,
-                            true,
-                        );
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::BudgetExceeded,
-                        });
-                        continue;
-                    }
-                };
-                let packet = if chosen.kind == FrameKind::Features {
-                    let ri = roi_index(chosen.roi);
-                    if frames[j].feature_packets[ri].is_none() {
-                        let ff = broadcasts[j].feature_frames[ri]
-                            .as_ref()
-                            .expect("feature candidate was offered, so its frame is prepared");
-                        let built = ExchangePacket::build_features(
-                            from,
-                            broadcasts[j].tx_stamp,
-                            ff,
-                            broadcasts[j].tx_estimate,
-                        )
-                        .and_then(|packet| {
-                            finalize_tx_packet(
-                                packet,
-                                trust_ledger.is_some(),
-                                broadcasts[j].tx_corrupt_rate,
-                                self.config.seed,
-                                from,
-                                step,
-                            )
-                        })
-                        .expect("a probed sender's feature frame must encode");
-                        frames[j].feature_packets[ri] = Some(built);
-                    }
-                    frames[j].feature_packets[ri]
-                        .clone()
-                        .expect("packet built above")
-                } else {
-                    let (ri, ki) = (roi_index(chosen.roi), kind_index(chosen.kind));
-                    if frames[j].packets[ri][ki].is_none() {
-                        let cloud = frames[j].clouds[ri][ki]
-                            .as_ref()
-                            .expect("chosen candidate was offered, so its cloud is prepared");
-                        let built = ExchangePacket::build_v2(
-                            from,
-                            broadcasts[j].tx_stamp,
-                            cloud,
-                            broadcasts[j].tx_estimate,
-                            chosen.kind,
-                            frames[j].background_subtracted,
-                        )
-                        .and_then(|packet| {
-                            finalize_tx_packet(
-                                packet,
-                                trust_ledger.is_some(),
-                                broadcasts[j].tx_corrupt_rate,
-                                self.config.seed,
-                                from,
-                                step,
-                            )
-                        })
-                        .expect("an ROI subset of a probed frame must encode");
-                        frames[j].packets[ri][ki] = Some(built);
-                    }
-                    frames[j].packets[ri][ki]
-                        .clone()
-                        .expect("packet built above")
-                };
-                debug_assert_eq!(packet.wire_size(), chosen.wire_bytes);
-                *out.stats.bytes_saved.entry(from).or_insert(0) +=
-                    frames[j].baseline_bytes.saturating_sub(chosen.wire_bytes) as u64;
-                if cooper_telemetry::is_enabled() {
-                    let per_mille = (chosen.wire_bytes as u64).saturating_mul(1000)
-                        / (frames[j].baseline_bytes.max(1) as u64);
-                    if chosen.kind == FrameKind::Features {
-                        cooper_telemetry::counter_add(telemetry_names::FLEET_FEATURE_SENDS, 1);
-                        cooper_telemetry::record_value(
-                            telemetry_names::CODEC_V3_BYTES_RATIO,
-                            per_mille,
-                        );
-                    } else {
-                        cooper_telemetry::record_value(
-                            telemetry_names::CODEC_V2_BYTES_RATIO,
-                            per_mille,
-                        );
-                    }
-                }
-                let ctx = TransferCtx {
-                    step,
-                    from,
-                    to,
-                    wire_bytes: chosen.wire_bytes,
-                };
-                let trace = TraceId::new(step, from, to);
                 cooper_telemetry::trace_mark_with(
                     trace,
-                    trace_stage::GOVERN_SEND,
+                    trace_stage::DELIVERED,
                     false,
-                    chosen.wire_bytes as u64,
+                    ctx.wire_bytes as u64,
                 );
-                match channel.deliver_verdict(&ctx) {
-                    Delivery::Delivered => {
-                        if trust_ledger.is_some() && packet.verify_integrity().is_err() {
-                            if cooper_telemetry::is_enabled() {
-                                cooper_telemetry::counter_add(
-                                    telemetry_names::V2X_INTEGRITY_CRC_FAIL,
-                                    1,
-                                );
-                            }
-                            cooper_telemetry::trace_mark(
-                                trace,
-                                trace_stage::INTEGRITY_FAILED,
-                                true,
-                            );
-                            out.bytes_received[i] += chosen.wire_bytes;
-                            out.transport_drops.push(TransportDrop {
-                                from,
-                                to,
-                                reason: TransportDropReason::IntegrityFailed,
-                            });
-                            continue;
-                        }
-                        cooper_telemetry::trace_mark_with(
-                            trace,
-                            trace_stage::DELIVERED,
-                            false,
-                            ctx.wire_bytes as u64,
-                        );
-                        match Self::rx_reconstruct(&mut g.rx_decoders[i], from, &packet) {
-                            Ok((reconstructed, composite)) => {
-                                out.bytes_received[i] += chosen.wire_bytes;
-                                out.inboxes[i].push(reconstructed);
-                                out.composite[i].push(composite);
-                            }
-                            Err(error) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_SALVAGE_FAILED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(
-                                    trace,
-                                    trace_stage::SALVAGE_FAILED,
-                                    true,
-                                );
-                                out.transport_drops.push(TransportDrop {
-                                    from,
-                                    to,
-                                    reason: TransportDropReason::SalvageFailed {
-                                        kind: error.kind().to_string(),
-                                    },
-                                });
-                            }
-                        }
+                match Self::rx_reconstruct(&mut out.rx_decoders[i], from, packet) {
+                    Ok((reconstructed, composite)) => {
+                        out.bytes_received[i] += ctx.wire_bytes;
+                        out.inboxes[i].push(reconstructed);
+                        out.composite[i].push(composite);
                     }
-                    Delivery::Dropped => {
-                        cooper_telemetry::trace_mark(trace, trace_stage::CHANNEL_DROPPED, true);
-                    }
-                    Delivery::Corrupted => {
+                    Err(error) => {
                         if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(
-                                telemetry_names::V2X_INTEGRITY_CORRUPTED_FRAMES,
-                                1,
-                            );
+                            cooper_telemetry::counter_add(telemetry_names::FLEET_SALVAGE_FAILED, 1);
                         }
-                        cooper_telemetry::trace_mark(trace, trace_stage::V2X_CORRUPTED, true);
+                        cooper_telemetry::trace_mark(trace, trace_stage::SALVAGE_FAILED, true);
                         out.transport_drops.push(TransportDrop {
                             from,
                             to,
-                            reason: TransportDropReason::Corrupted,
-                        });
-                    }
-                    Delivery::DeadlineExceeded => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(telemetry_names::FLEET_DEADLINE_MISS, 1);
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::DEADLINE_EXCEEDED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::DeadlineExceeded,
-                        });
-                    }
-                    Delivery::Partial {
-                        delivered_bytes,
-                        total_bytes,
-                    } => {
-                        cooper_telemetry::trace_mark_with(
-                            trace,
-                            trace_stage::PARTIAL,
-                            false,
-                            delivered_bytes as u64,
-                        );
-                        let wire = packet.to_bytes();
-                        let cut = delivered_bytes.min(wire.len());
-                        let salvaged = ExchangePacket::from_partial_bytes(&wire[..cut]).and_then(
-                            |(prefix, _fraction)| {
-                                Self::rx_reconstruct(&mut g.rx_decoders[i], from, &prefix)
+                            reason: TransportDropReason::SalvageFailed {
+                                kind: error.kind().to_string(),
                             },
-                        );
-                        match salvaged {
-                            Ok((reconstructed, composite)) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_PARTIAL_SALVAGED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(trace, trace_stage::SALVAGED, false);
-                                out.bytes_received[i] += delivered_bytes;
-                                out.partial_counts[i] += 1;
-                                out.inboxes[i].push(reconstructed);
-                                out.composite[i].push(composite);
-                                out.transport_drops.push(TransportDrop {
-                                    from,
-                                    to,
-                                    reason: TransportDropReason::PartialDelivery {
-                                        delivered_bytes,
-                                        total_bytes,
-                                    },
-                                });
-                            }
-                            Err(error) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_SALVAGE_FAILED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(
-                                    trace,
-                                    trace_stage::SALVAGE_FAILED,
-                                    true,
-                                );
-                                out.transport_drops.push(TransportDrop {
-                                    from,
-                                    to,
-                                    reason: TransportDropReason::SalvageFailed {
-                                        kind: error.kind().to_string(),
-                                    },
-                                });
-                            }
-                        }
+                        });
                     }
                 }
             }
-            out.stats.total_bytes += out.bytes_received[i] as u64;
+            Delivery::Dropped => {
+                cooper_telemetry::trace_mark(trace, trace_stage::CHANNEL_DROPPED, true);
+            }
+            Delivery::Corrupted => {
+                if cooper_telemetry::is_enabled() {
+                    cooper_telemetry::counter_add(
+                        telemetry_names::V2X_INTEGRITY_CORRUPTED_FRAMES,
+                        1,
+                    );
+                }
+                cooper_telemetry::trace_mark(trace, trace_stage::V2X_CORRUPTED, true);
+                out.transport_drops.push(TransportDrop {
+                    from,
+                    to,
+                    reason: TransportDropReason::Corrupted,
+                });
+            }
+            Delivery::DeadlineExceeded => {
+                if cooper_telemetry::is_enabled() {
+                    cooper_telemetry::counter_add(telemetry_names::FLEET_DEADLINE_MISS, 1);
+                }
+                cooper_telemetry::trace_mark(trace, trace_stage::DEADLINE_EXCEEDED, true);
+                out.transport_drops.push(TransportDrop {
+                    from,
+                    to,
+                    reason: TransportDropReason::DeadlineExceeded,
+                });
+            }
+            Delivery::Partial {
+                delivered_bytes,
+                total_bytes,
+            } => {
+                // Salvage: decode whatever whole points the delivered
+                // prefix contains and fuse those; the receiver degrades
+                // instead of losing the sender's scan entirely.
+                cooper_telemetry::trace_mark_with(
+                    trace,
+                    trace_stage::PARTIAL,
+                    false,
+                    delivered_bytes as u64,
+                );
+                let wire = packet.to_bytes();
+                let cut = delivered_bytes.min(wire.len());
+                let salvaged = ExchangePacket::from_partial_bytes(&wire[..cut]).and_then(
+                    |(prefix, _fraction)| {
+                        Self::rx_reconstruct(&mut out.rx_decoders[i], from, &prefix)
+                    },
+                );
+                match salvaged {
+                    Ok((reconstructed, composite)) => {
+                        if cooper_telemetry::is_enabled() {
+                            cooper_telemetry::counter_add(
+                                telemetry_names::FLEET_PARTIAL_SALVAGED,
+                                1,
+                            );
+                        }
+                        cooper_telemetry::trace_mark(trace, trace_stage::SALVAGED, false);
+                        out.bytes_received[i] += delivered_bytes;
+                        out.partial_counts[i] += 1;
+                        out.inboxes[i].push(reconstructed);
+                        out.composite[i].push(composite);
+                        out.transport_drops.push(TransportDrop {
+                            from,
+                            to,
+                            reason: TransportDropReason::PartialDelivery {
+                                delivered_bytes,
+                                total_bytes,
+                            },
+                        });
+                    }
+                    Err(error) => {
+                        if cooper_telemetry::is_enabled() {
+                            cooper_telemetry::counter_add(telemetry_names::FLEET_SALVAGE_FAILED, 1);
+                        }
+                        cooper_telemetry::trace_mark(trace, trace_stage::SALVAGE_FAILED, true);
+                        out.transport_drops.push(TransportDrop {
+                            from,
+                            to,
+                            reason: TransportDropReason::SalvageFailed {
+                                kind: error.kind().to_string(),
+                            },
+                        });
+                    }
+                }
+            }
         }
     }
 
-    /// Receiver-side reconstruction of a delivered packet: v1 payloads
-    /// and v3 feature frames pass through untouched (feature frames are
-    /// self-contained; the pipeline fuses them at the BEV level); v2
-    /// payloads run through the receiver's per-sender [`DeltaDecoder`]
-    /// (caching keyframes, merging deltas) and are re-wrapped as
-    /// self-contained packets for the fusion pipeline.
     /// Records one transfer skipped because the receiver holds the
     /// sender in quarantine: counter, terminal trace mark, and the
     /// receiver's per-vehicle trust stats.
@@ -2226,6 +2048,12 @@ impl FleetSimulation {
         stats.trust.entry(to).or_default().blocked_transfers += 1;
     }
 
+    /// Receiver-side reconstruction of a delivered packet: v1 payloads
+    /// and v3 feature frames pass through untouched (feature frames are
+    /// self-contained; the pipeline fuses them at the BEV level); v2
+    /// payloads run through the receiver's per-sender [`DeltaDecoder`]
+    /// (caching keyframes, merging deltas) and are re-wrapped as
+    /// self-contained packets for the fusion pipeline.
     fn rx_reconstruct(
         decoders: &mut BTreeMap<u32, DeltaDecoder>,
         sender: u32,

@@ -97,8 +97,15 @@ pub trait GovernorPolicy {
     fn decide(&mut self, offer: &TransferOffer<'_>) -> GovernorVerdict;
 }
 
-/// The ungoverned baseline: always sends the first offered candidate
-/// (the fleet offers the widest ROI at the cadence kind first).
+/// Always sends the first offered candidate (the fleet offers the
+/// widest ROI at the cadence kind first). With
+/// [`GovernorConfig::delta_encode`] off and the fleet's ROI at
+/// [`RoiCategory::FullFrame`], a governed run under this policy
+/// reproduces the broadcast exchange of
+/// [`FleetSimulation::run_with_channel`] report for report (pinned by
+/// `tests/fleet_determinism.rs`).
+///
+/// [`FleetSimulation::run_with_channel`]: crate::fleet::FleetSimulation::run_with_channel
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SendFirstPolicy;
 

@@ -338,3 +338,94 @@ fn closure_channels_see_the_documented_transfer_order() {
         .collect();
     assert_eq!(seen, expected);
 }
+
+#[test]
+fn send_first_governed_run_reproduces_the_broadcast_exchange() {
+    // The raw broadcast and the governed menu share one delivery step;
+    // the modes differ only in how a transfer's packet is chosen. With
+    // delta encoding off, the send-first policy picks the full-frame
+    // keyframe — the broadcast's points at the broadcast's wire size —
+    // so both modes must report the same steps through every channel
+    // verdict (partial, corrupted, salvaged) and, in the guarded case,
+    // every integrity, consistency and alignment drop.
+    use cooper_core::fleet::{TransportDropReason, TrustGuardConfig};
+    use cooper_core::governor::SendFirstPolicy;
+    let governor = GovernorConfig {
+        delta_encode: false,
+        ..GovernorConfig::default()
+    };
+    let medium = || {
+        SharedMedium::new(DsrcChannel::new(DsrcConfig {
+            loss_model: LossModel::GilbertElliott(GilbertElliott::from_loss_rate(0.2)),
+            corruption_probability: 0.02,
+            ..DsrcConfig::default()
+        }))
+        .with_seed(9)
+        .with_arq(ArqConfig::default())
+    };
+    let plan =
+        FaultPlan::parse("2:ghost:3@1,1:corrupt:0.3@0..3,3:drift:0.8@0").expect("valid plan");
+    for guarded in [false, true] {
+        let p = if guarded {
+            pipeline().with_alignment_guard(AlignmentGuardConfig::default())
+        } else {
+            pipeline()
+        };
+        let scene = scenario::tj_scenario_1();
+        let vehicles: Vec<FleetVehicle> = scene
+            .observers
+            .iter()
+            .enumerate()
+            .map(|(i, pose)| FleetVehicle {
+                id: i as u32 + 1,
+                trajectory: straight_trajectory(*pose, 0.5, 3),
+                beams: BeamModel::vlp16().with_azimuth_steps(300),
+            })
+            .collect();
+        let sim = FleetSimulation::new(
+            scene.world.clone(),
+            vehicles,
+            FleetConfig {
+                seed: 2024,
+                threads: Some(2),
+                fault_plan: guarded.then(|| plan.clone()),
+                trust: guarded.then(TrustGuardConfig::default),
+                ..FleetConfig::default()
+            },
+        );
+        let (raw_reports, raw_stats) = sim.run_with_channel(&p, 3, &mut medium());
+        let (gov_reports, gov_stats) =
+            sim.run_governed(&p, 3, &mut medium(), &mut SendFirstPolicy, &governor);
+        assert_eq!(raw_reports.len(), gov_reports.len());
+        for (raw, gov) in raw_reports.iter().zip(&gov_reports) {
+            assert_eq!(raw.deterministic_view(), gov.deterministic_view());
+        }
+        assert_eq!(raw_stats.total_bytes, gov_stats.total_bytes);
+        assert_eq!(raw_stats.trust, gov_stats.trust);
+        assert_eq!(raw_stats.alignment, gov_stats.alignment);
+        assert!(raw_stats.bytes_saved.is_empty());
+        // The comparison covered the lossy verdicts, and the guarded
+        // run every trust-layer drop, not just clean deliveries.
+        let reasons: Vec<&TransportDropReason> = raw_reports
+            .iter()
+            .flat_map(|r| r.transport_drops.iter().map(|d| &d.reason))
+            .collect();
+        let seen = |want: fn(&TransportDropReason) -> bool| reasons.iter().any(|r| want(r));
+        assert!(seen(|r| matches!(
+            r,
+            TransportDropReason::PartialDelivery { .. }
+        )));
+        assert!(seen(|r| matches!(r, TransportDropReason::Corrupted)));
+        if guarded {
+            assert!(seen(|r| matches!(r, TransportDropReason::IntegrityFailed)));
+            assert!(seen(|r| matches!(
+                r,
+                TransportDropReason::ConsistencyRejected { .. }
+            )));
+            assert!(seen(|r| matches!(
+                r,
+                TransportDropReason::AlignmentRejected { .. }
+            )));
+        }
+    }
+}
